@@ -1,10 +1,10 @@
 // Command protoserve runs the verification service: an HTTP/JSON job
 // queue over the protogen Engine API. Clients submit verify / fuzz /
-// simulate jobs, poll status with live progress, fetch results and
-// cancel mid-flight; a bounded worker pool shares one verify result
-// cache (structurally identical resubmits are served instantly) and
-// failing fuzz campaigns sink minimized reproducers into a corpus
-// directory.
+// simulate / lint / litmus jobs, poll status with live progress, fetch
+// results and cancel mid-flight; a fixed set of workers shares one
+// verify result cache (structurally identical resubmits are served
+// instantly) and failing fuzz campaigns sink minimized reproducers
+// into a corpus directory.
 //
 // Usage:
 //
@@ -20,12 +20,13 @@
 //	GET    /healthz          worker, queue and cache health
 //	GET    /corpus           reproducers collected by the corpus sink
 //
-// Internally the service is a coordinator/worker fleet over a typed
-// message bus with lease-based execution, retry with backoff, and
-// dead-lettering (docs/FLEET.md). With -store DIR the job queue is
-// durable: submitted jobs are fsynced to a write-ahead log before the
-// 202 response, and a restarted server replays the log — finished
-// results are served from the store and interrupted jobs re-run.
+// Internally the service is one bounded job queue drained by worker
+// goroutines, with panic retry and dead-lettering after -max-attempts
+// (docs/SERVICE.md). With -store DIR the job queue is durable:
+// submitted jobs are fsynced to a write-ahead log before the 202
+// response, and a restarted server replays the log — finished results
+// are served from the store, and queued jobs and jobs a crash
+// interrupted run again.
 //
 // SIGINT/SIGTERM shut down gracefully: running jobs are canceled at
 // their next cancellation boundary and recorded as canceled.
@@ -77,8 +78,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		parallel = fs.Int("parallel", 0, "per-job exploration workers (0 = all cores)")
 		cacheDir = fs.String("cache-dir", "", "shared verify result cache directory (\"\" disables; see docs/CACHING.md)")
 		corpus   = fs.String("corpus", "", "corpus sink: minimized reproducers from failing fuzz jobs land here")
-		store    = fs.String("store", "", "durable job store directory: jobs survive restarts via a write-ahead log (\"\" keeps jobs in memory; see docs/FLEET.md)")
-		leaseTTL = fs.Duration("lease-ttl", 0, "worker lease TTL before a silent attempt is reassigned (0 = default)")
+		store    = fs.String("store", "", "durable job store directory: jobs survive restarts via a write-ahead log (\"\" keeps jobs in memory; see docs/SERVICE.md)")
 		retries  = fs.Int("max-attempts", 0, "execution attempts per job before dead-lettering (0 = default)")
 		debug    = fs.String("debug-addr", "", "serve net/http/pprof on this address (opt-in; bind loopback, the endpoints are unauthenticated)")
 	)
@@ -99,7 +99,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		CacheDir:    *cacheDir,
 		CorpusDir:   *corpus,
 		StoreDir:    *store,
-		LeaseTTL:    *leaseTTL,
 		MaxAttempts: *retries,
 	})
 	if err != nil {

@@ -1,14 +1,14 @@
-// Package bus is the job bus the coordinator/worker fleet rides on: a
-// small transport-agnostic publish/subscribe interface with
-// queue-subscriber semantics (N queue members claim each message
-// competitively, so a fleet of workers drains one job stream), a typed
-// JSON codec layer over it, an in-memory transport for tests and
-// single-process deployments, and a seeded chaos decorator that
-// drops, delays and duplicates deliveries to prove the protocol above
-// survives a faulty transport. Every transport declares its delivery
+// Package bus is a small transport-agnostic publish/subscribe
+// interface with queue-subscriber semantics (N queue members claim
+// each message competitively), a typed JSON codec layer over it and an
+// in-memory transport. Every transport declares its delivery
 // Guarantees and must pass the bustest.TestAll conformance harness,
 // which asserts the universal properties unconditionally and the
 // stronger ones exactly where the transport claims them.
+//
+// Nothing imports this package: internal/service runs jobs from one
+// in-process queue (docs/SERVICE.md). It is kept, with its conformance
+// suite, only until its scheduled deletion (ROADMAP.md).
 package bus
 
 import (
@@ -42,9 +42,7 @@ type Subscription interface {
 }
 
 // Guarantees declares a transport's delivery contract. The conformance
-// harness gates its stronger assertions on these; the fleet protocol
-// in internal/service assumes NONE of them (it is correct over the
-// weakest transport: lossy, duplicating, reordering).
+// harness gates its stronger assertions on these.
 type Guarantees struct {
 	// Lossless: every accepted Publish is delivered to every plain
 	// subscriber and one member of each queue group.
@@ -55,8 +53,7 @@ type Guarantees struct {
 	Ordered bool
 }
 
-// Bus is the transport interface. Implementations: Mem (in-process),
-// Chaos (fault-injection decorator over any inner transport).
+// Bus is the transport interface. Implementation: Mem (in-process).
 type Bus interface {
 	// Publish sends payload to channel: every plain subscriber and
 	// exactly one member of each queue group receive it (modulo the

@@ -23,72 +23,6 @@ func TestMemSmallBufferConformance(t *testing.T) {
 	bustest.TestAll(t, func(t *testing.T) bus.Bus { return bus.NewMem(bus.WithBuffer(1)) })
 }
 
-// TestChaosConformance runs the suite over the chaos decorator in
-// three fault postures: drop-heavy, duplicate-heavy, and everything
-// at once. The suite's strong assertions switch off exactly per the
-// weakened guarantees; the universal ones must still hold.
-func TestChaosConformance(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  bus.ChaosConfig
-	}{
-		{"DropHeavy", bus.ChaosConfig{Seed: 1, Drop: 0.3}},
-		{"DupHeavy", bus.ChaosConfig{Seed: 2, Dup: 0.5}},
-		{"Delaying", bus.ChaosConfig{Seed: 3, MaxDelay: 3 * time.Millisecond}},
-		{"Everything", bus.ChaosConfig{Seed: 4, Drop: 0.2, Dup: 0.3, MaxDelay: 2 * time.Millisecond}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			bustest.TestAll(t, func(t *testing.T) bus.Bus { return bus.Chaos(bus.NewMem(), tc.cfg) })
-		})
-	}
-}
-
-// TestChaosGuarantees: the decorator weakens exactly the guarantees
-// its faults break.
-func TestChaosGuarantees(t *testing.T) {
-	mem := bus.NewMem()
-	defer mem.Close()
-	cases := []struct {
-		cfg  bus.ChaosConfig
-		want bus.Guarantees
-	}{
-		{bus.ChaosConfig{}, bus.Guarantees{Lossless: true, AtMostOnce: true, Ordered: true}},
-		{bus.ChaosConfig{Drop: 0.1}, bus.Guarantees{Lossless: false, AtMostOnce: true, Ordered: true}},
-		{bus.ChaosConfig{Dup: 0.1}, bus.Guarantees{Lossless: true, AtMostOnce: false, Ordered: true}},
-		{bus.ChaosConfig{MaxDelay: time.Millisecond}, bus.Guarantees{Lossless: true, AtMostOnce: true, Ordered: false}},
-	}
-	for _, tc := range cases {
-		if got := bus.Chaos(mem, tc.cfg).Guarantees(); got != tc.want {
-			t.Errorf("cfg %+v: guarantees %+v, want %+v", tc.cfg, got, tc.want)
-		}
-	}
-}
-
-// TestChaosDeterminism: the same seed injects the same fault sequence.
-func TestChaosDeterminism(t *testing.T) {
-	run := func(seed int64) bus.ChaosStats {
-		c := bus.Chaos(bus.NewMem(), bus.ChaosConfig{Seed: seed, Drop: 0.3, Dup: 0.3})
-		defer c.Close()
-		for i := 0; i < 500; i++ {
-			if err := c.Publish(context.Background(), "ch", []byte("x")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return c.Stats()
-	}
-	a, b := run(42), run(42)
-	if a != b {
-		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
-	}
-	if a.Dropped == 0 || a.Duplicated == 0 {
-		t.Fatalf("faults never fired: %+v", a)
-	}
-	if c := run(43); c == a {
-		t.Fatalf("different seeds produced identical fault stream: %+v", c)
-	}
-}
-
 // TestTypedDecodeErrors: a payload that does not decode is dropped and
 // surfaced to the error hook, never the handler.
 func TestTypedDecodeErrors(t *testing.T) {

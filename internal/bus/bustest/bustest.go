@@ -3,10 +3,7 @@
 // delivery properties unconditionally (payload integrity, queue-group
 // routing, unsubscribe and close semantics, cancellation) and the
 // stronger ones — exactly-once, completeness, ordering — only where
-// the transport's declared Guarantees claim them. A new transport
-// (or decorator) is wired into the fleet by passing this suite first;
-// the chaos decorator passes it precisely because its weakened
-// guarantees switch the strong assertions off.
+// the transport's declared Guarantees claim them.
 package bustest
 
 import (

@@ -498,10 +498,11 @@ func CheckSource(src string, limit int, simSeed int64, cfg Config) SpecReport {
 
 // checkSourceCtx is CheckSource under a context. A report interrupted
 // mid-oracle carries a "canceled" failure class; the campaign discards
-// such reports (they are partial, not verdicts).
-func checkSourceCtx(ctx context.Context, src string, limit int, simSeed int64, cfg Config) SpecReport {
+// such reports (they are partial, not verdicts). The result is named so
+// the deferred ElapsedMS write lands on the returned report.
+func checkSourceCtx(ctx context.Context, src string, limit int, simSeed int64, cfg Config) (r SpecReport) {
 	start := time.Now()
-	r := SpecReport{PendingLimit: limit, SimSeed: simSeed, Source: src}
+	r = SpecReport{PendingLimit: limit, SimSeed: simSeed, Source: src}
 	defer func() { r.ElapsedMS = time.Since(start).Milliseconds() }()
 
 	spec, err := dsl.Parse(src)

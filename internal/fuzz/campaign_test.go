@@ -52,6 +52,11 @@ func TestCampaignDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A fully checked seed takes milliseconds; 0 means the timing was
+	// lost on the way out of the oracle.
+	if r := a.Specs[0]; r.ElapsedMS <= 0 {
+		t.Errorf("seed %d: ElapsedMS = %d, want > 0", r.Seed, r.ElapsedMS)
+	}
 	for i := range a.Specs {
 		ra, rb := a.Specs[i], b.Specs[i]
 		ra.ElapsedMS, rb.ElapsedMS = 0, 0

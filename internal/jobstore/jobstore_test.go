@@ -125,14 +125,13 @@ func TestWALReplay(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// job-1 runs to done; job-3 is orphaned running with a lease.
+			// job-1 runs to done; job-3 is orphaned running on a worker.
 			done := mkRec("job-1", StateDone)
 			if err := s.Put(done); err != nil {
 				t.Fatal(err)
 			}
 			run := mkRec("job-3", StateRunning)
 			run.Worker = "w1"
-			run.LeaseExpiry = time.Unix(200, 0).UTC()
 			if err := s.Put(run); err != nil {
 				t.Fatal(err)
 			}
@@ -162,8 +161,8 @@ func TestWALReplay(t *testing.T) {
 				t.Fatalf("job-1 state %s", byID["job-1"].State)
 			}
 			orphan := byID["job-3"]
-			if orphan.State != StateRunning || orphan.Worker != "w1" || !orphan.LeaseExpiry.Equal(time.Unix(200, 0).UTC()) {
-				t.Fatalf("orphaned-running lease lost: %+v", orphan)
+			if orphan.State != StateRunning || orphan.Worker != "w1" {
+				t.Fatalf("orphaned-running record lost: %+v", orphan)
 			}
 		})
 	}

@@ -8,13 +8,35 @@ import (
 	"protogen"
 )
 
-// engineExecutor adapts the shared Engine onto the fleet's Executor
-// contract: one call runs one attempt of one job kind to completion.
+// Outcome is one execution attempt's result, produced by an Executor.
+type Outcome struct {
+	Status  Status // StatusDone, StatusFailed or StatusCanceled
+	Summary string
+	OK      *bool
+	Err     error
+	// Transient marks a failure as retry-eligible (crash-shaped:
+	// injected faults, panics). Deterministic executor failures — a bad
+	// spec, an engine error that would recur — leave it false and the
+	// job fails terminally on the first attempt.
+	Transient   bool
+	Cached      bool
+	Canceled    bool
+	Result      any
+	CorpusFiles []string
+}
+
+// Executor runs one job attempt. It must honor ctx cancellation (a
+// client cancel or Shutdown) and may stream progress snapshots through
+// onProgress (never nil).
+type Executor func(ctx context.Context, req Request, onProgress func(ProgressView)) Outcome
+
+// engineExecutor adapts the shared Engine onto the Executor contract:
+// one call runs one attempt of one job kind to completion.
 // Engine failures are deterministic — a bad spec or an engine error
 // recurs on every attempt — so every failure here is permanent
 // (Transient false) and the job fails terminally without burning the
 // retry budget. Transient failures enter the system only from
-// crash-shaped events: worker panics, kills, lease expiries and
+// crash-shaped events: executor panics, restart interruptions and
 // injected test faults.
 func engineExecutor(eng *protogen.Engine, corpusDir string) Executor {
 	return func(ctx context.Context, req Request, onProgress func(ProgressView)) Outcome {

@@ -1,21 +1,15 @@
-// Package service is the long-running verification service the ROADMAP
-// names as the production-scale path, built as a crash-tolerant
-// coordinator/worker fleet. Clients submit verify / fuzz / simulate /
-// lint / litmus jobs over HTTP/JSON; the coordinator persists every
-// submission to a durable job store before acknowledging it, then
-// offers it on a typed job bus where a fleet of workers claims jobs
-// competitively. Workers hold time-bounded leases extended by
-// heartbeats; a worker that dies mid-job simply stops heartbeating and
-// the coordinator's sweeper requeues the attempt with exponential
-// backoff, parking jobs that exhaust their retry budget in a
-// dead-letter state with the full failure chain preserved. The
-// protocol assumes nothing of the transport — messages may be lost,
-// duplicated or reordered (the chaos tests prove it) — and a restarted
-// server replays the store to recover queued and orphaned-running
-// jobs. All jobs resolve through one shared Engine, so a structurally
-// identical resubmit is served from the verify result cache and
-// failing fuzz campaigns sink minimized reproducers into a corpus
-// directory.
+// Package service is the long-running verification service: an
+// HTTP/JSON job queue in front of the protogen Engine. Clients submit
+// verify / fuzz / simulate / lint / litmus jobs; the server persists
+// every submission to a durable job store before acknowledging it,
+// queues it in one bounded FIFO, and a fixed set of worker goroutines
+// runs the jobs. A panicking job is retried as a transient failure and
+// dead-lettered after MaxAttempts with its failure chain preserved; a
+// restarted server replays the store, re-queuing queued jobs and the
+// running jobs a crash interrupted. All jobs resolve through one
+// shared Engine, so a structurally identical resubmit is served from
+// the verify result cache and failing fuzz campaigns sink minimized
+// reproducers into a corpus directory. docs/SERVICE.md has the details.
 package service
 
 import (
@@ -31,16 +25,14 @@ import (
 	"time"
 
 	"protogen"
-	"protogen/internal/bus"
 	"protogen/internal/jobstore"
 )
 
 // Config tunes a Server.
 type Config struct {
-	// Workers is the fleet size (default 2; negative runs no workers —
-	// a coordinator-only server for harnesses that manage their own
-	// fleet). Each worker runs one job at a time; a job's own
-	// model-checker parallelism is set by Parallelism.
+	// Workers is the number of worker goroutines (default 2). Each runs
+	// one job at a time; a job's own model-checker parallelism is set by
+	// Parallelism.
 	Workers int
 	// QueueDepth bounds the submitted-but-unstarted queue (default 64);
 	// submits beyond it are rejected with 503 rather than buffered
@@ -67,47 +59,26 @@ type Config struct {
 
 	// StoreDir persists the job store as an append-only WAL in this
 	// directory: a submit is on disk before its 202, and a restarted
-	// server replays the log to recover queued and in-flight jobs. ""
+	// server replays the log to recover queued and interrupted jobs. ""
 	// keeps job state in memory only.
 	StoreDir string
 	// Store overrides the job store built from StoreDir (tests,
 	// embedding). The caller keeps ownership.
 	Store jobstore.Store
-	// Bus overrides the in-process job bus (the chaos harness injects a
-	// fault decorator here). The caller keeps ownership.
-	Bus bus.Bus
 	// Executor overrides the engine-backed job executor (tests inject
 	// fast or faulty executors).
 	Executor Executor
 
-	// LeaseTTL is how long a claimed job may go without a heartbeat
-	// before the sweeper reclaims it (default 3s).
-	LeaseTTL time.Duration
-	// HeartbeatEvery is the worker heartbeat/liveness period (default
-	// LeaseTTL/3).
-	HeartbeatEvery time.Duration
-	// SweepEvery is the recovery-loop period (default LeaseTTL/4).
-	SweepEvery time.Duration
-	// RedispatchEvery re-offers a queued job whose dispatch vanished —
-	// lost by the transport or buffered in a worker that died (default
-	// 2×LeaseTTL).
-	RedispatchEvery time.Duration
 	// MaxAttempts dead-letters a job after this many started attempts
-	// end in transient failure or lease expiry (default 4).
+	// end in transient failure or a restart interruption (default 4).
 	MaxAttempts int
-	// RetryBase/RetryCap shape the exponential retry backoff (defaults
-	// 250ms and 10s); jitter in [50%,100%) is seeded by Seed.
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	// Seed seeds the retry jitter stream (0 is a valid fixed seed).
-	Seed int64
-	// Warn receives fleet diagnostics (default log.Printf).
+	// Warn receives service diagnostics (default log.Printf).
 	Warn func(format string, args ...any)
 }
 
 // withDefaults resolves the zero values.
 func (cfg Config) withDefaults() Config {
-	if cfg.Workers == 0 {
+	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
 	if cfg.QueueDepth <= 0 {
@@ -116,26 +87,8 @@ func (cfg Config) withDefaults() Config {
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 1024
 	}
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 3 * time.Second
-	}
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = cfg.LeaseTTL / 3
-	}
-	if cfg.SweepEvery <= 0 {
-		cfg.SweepEvery = cfg.LeaseTTL / 4
-	}
-	if cfg.RedispatchEvery <= 0 {
-		cfg.RedispatchEvery = 2 * cfg.LeaseTTL
-	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 4
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 250 * time.Millisecond
-	}
-	if cfg.RetryCap <= 0 {
-		cfg.RetryCap = 10 * time.Second
 	}
 	if cfg.Warn == nil {
 		cfg.Warn = log.Printf
@@ -304,11 +257,10 @@ type JobView struct {
 	Progress  *ProgressView `json:"progress,omitempty"`
 	// Attempt counts execution attempts started (retries visible).
 	Attempt int `json:"attempt,omitempty"`
-	// Worker names the fleet member holding the job's lease while
-	// running.
+	// Worker names the worker goroutine (w1…wN) running the job.
 	Worker string `json:"worker,omitempty"`
 	// Failures is the failure chain: one entry per transient failure,
-	// lease expiry or shutdown release, oldest first.
+	// restart interruption or shutdown release, oldest first.
 	Failures []string `json:"failures,omitempty"`
 	// Summary is the result's one-line rendering once the job finished.
 	Summary string `json:"summary,omitempty"`
@@ -325,7 +277,7 @@ type JobView struct {
 	CorpusFiles []string `json:"corpus_files,omitempty"`
 }
 
-// Server is the HTTP face of the fleet. Create with New, wire into an
+// Server is the job service. Create with New, wire into an
 // http.Server via ServeHTTP (it is an http.Handler), stop with
 // Shutdown.
 type Server struct {
@@ -334,23 +286,49 @@ type Server struct {
 	ownEng   bool
 	store    jobstore.Store
 	ownStore bool
-	b        bus.Bus
-	ownBus   bool
 	exec     Executor
-	co       *coordinator
 	mux      *http.ServeMux
 
-	mu         sync.Mutex
-	workers    []*Worker //protogen:guardedby mu
-	nextWorker int       //protogen:guardedby mu
-	closed     bool      //protogen:guardedby mu
+	// wake holds at most one token telling an idle worker the queue
+	// gained a job; stop is closed by Shutdown to end the workers.
+	wake chan struct{}
+	stop chan struct{}
+	// runCtx parents every attempt's context; Shutdown cancels it.
+	runCtx    context.Context
+	cancelRun context.CancelFunc
+	wg        sync.WaitGroup // worker goroutines
+
+	mu   sync.Mutex
+	jobs map[string]*job //protogen:guardedby mu
+	// order is first-submission order for listing; ids no longer in
+	// jobs are skipped and compacted away lazily.
+	order []string //protogen:guardedby mu
+	// queue is the FIFO of queued job ids. Submit bounds the number of
+	// queued jobs by QueueDepth; requeues always append. Ids of jobs
+	// canceled or freed while queued are skipped when popped.
+	queue []string //protogen:guardedby mu
+	// terminalQ is a FIFO of ids in terminal-transition order: eviction
+	// pops its head instead of scanning every record (O(1) per evicted
+	// job). Ids freed by DELETE before eviction are skipped when popped.
+	terminalQ []string               //protogen:guardedby mu
+	counts    map[jobstore.State]int //protogen:guardedby mu
+	nextID    int                    //protogen:guardedby mu
+	live      int                    //protogen:guardedby mu — worker goroutines not yet exited
+	terminals int                    //protogen:guardedby mu — terminal transitions recorded
+	closed    bool                   //protogen:guardedby mu
 }
 
-// New builds and starts a Server: store replayed, coordinator and
-// worker fleet live on return.
+// New builds and starts a Server: store replayed and workers running
+// on return.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	s := &Server{cfg: cfg}
+	s := &Server{
+		cfg:    cfg,
+		wake:   make(chan struct{}, 1),
+		stop:   make(chan struct{}),
+		jobs:   map[string]*job{},
+		counts: map[jobstore.State]int{},
+	}
 
 	s.eng = cfg.Engine
 	if s.eng == nil {
@@ -386,131 +364,69 @@ func New(cfg Config) (*Server, error) {
 		s.ownStore = true
 	}
 
-	s.b = cfg.Bus
-	if s.b == nil {
-		s.b = bus.NewMem()
-		s.ownBus = true
-	}
-
 	s.exec = cfg.Executor
 	if s.exec == nil {
 		s.exec = engineExecutor(s.eng, cfg.CorpusDir)
 	}
 
-	co, err := newCoordinator(cfg, s.store, s.b, cfg.Warn)
+	s.mu.Lock()
+	err := s.replayLocked()
+	s.live = cfg.Workers
+	s.mu.Unlock()
 	if err != nil {
 		s.closeOwned()
 		return nil, err
 	}
-	s.co = co
 	s.routes()
 
-	for i := 0; i < cfg.Workers; i++ {
-		if err := s.StartWorker(); err != nil {
-			sctx, cancel := context.WithTimeout(context.Background(), time.Second)
-			_ = s.Shutdown(sctx)
-			cancel()
-			return nil, err
-		}
+	s.runCtx, s.cancelRun = context.WithCancel(context.Background())
+	s.wg.Add(cfg.Workers)
+	for i := 1; i <= cfg.Workers; i++ {
+		go s.work(fmt.Sprintf("w%d", i))
 	}
 	return s, nil
 }
 
-// closeOwned releases the resources New built, for boot-failure paths.
+// closeOwned releases the resources New built.
 func (s *Server) closeOwned() {
 	if s.ownStore && s.store != nil {
 		s.store.Close()
-	}
-	if s.ownBus && s.b != nil {
-		s.b.Close()
 	}
 	if s.ownEng && s.eng != nil {
 		s.eng.Close()
 	}
 }
 
-// StartWorker adds one worker to the fleet — also the restart half of
-// the kill/restart harness.
-func (s *Server) StartWorker() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errDraining
-	}
-	s.nextWorker++
-	id := fmt.Sprintf("w%d", s.nextWorker)
-	s.mu.Unlock()
-	w, err := newWorker(id, s.b, s.exec, s.cfg.HeartbeatEvery, s.cfg.Warn)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.workers = append(s.workers, w)
-	s.mu.Unlock()
-	return nil
-}
-
-// KillWorker crash-kills the most recently started live worker and
-// returns its id ("" when the fleet is empty): the chaos harness's
-// worker-crash fault.
-func (s *Server) KillWorker() string {
-	s.mu.Lock()
-	if len(s.workers) == 0 {
-		s.mu.Unlock()
-		return ""
-	}
-	w := s.workers[len(s.workers)-1]
-	s.workers = s.workers[:len(s.workers)-1]
-	s.mu.Unlock()
-	w.Kill()
-	return w.id
-}
-
-// Shutdown stops the fleet: no new submits, workers drain gracefully
-// within ctx's deadline (running jobs cancel and record canceled
-// results), and on deadline the workers are crash-killed and their
-// running jobs' leases released back to queued — so a restarted server
-// re-runs them instead of losing them. Returns ctx.Err() when the
-// deadline forced the escalation.
+// Shutdown stops the server: no new submits, queued jobs stay queued
+// in the store, and running jobs are cancelled and record canceled
+// results, waiting up to ctx's deadline. On deadline the running jobs
+// are released back to queued without charging an attempt — so a
+// restarted server re-runs them instead of losing them — and any
+// outcome their abandoned executors report later is discarded.
+// Returns ctx.Err() when the deadline forced the release.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
-	workers := append([]*Worker(nil), s.workers...)
-	s.workers = nil
 	s.mu.Unlock()
-	s.co.drain()
+	close(s.stop)
+	s.cancelRun()
 
-	var stopWG sync.WaitGroup
-	errs := make([]error, len(workers))
-	for i, w := range workers {
-		stopWG.Add(1)
-		go func(i int, w *Worker) {
-			defer stopWG.Done()
-			errs[i] = w.Stop(ctx)
-		}(i, w)
+	stopped := make(chan struct{})
+	go func() {
+		s.wg.Wait()
+		close(stopped)
+	}()
+	var err error
+	select {
+	case <-stopped:
+	case <-ctx.Done():
+		err = ctx.Err()
+		s.mu.Lock()
+		s.releaseRunningLocked(time.Now())
+		s.mu.Unlock()
 	}
-	stopWG.Wait()
-	graceful := true
-	for _, err := range errs {
-		if err != nil {
-			graceful = false
-		}
-	}
-	if graceful {
-		graceful = s.co.waitSettled(ctx.Done())
-	}
-	if !graceful {
-		for _, w := range workers {
-			w.Kill()
-		}
-		s.co.releaseRunning("released: shutdown deadline")
-	}
-	s.co.close()
 	s.closeOwned()
-	if !graceful {
-		return ctx.Err()
-	}
-	return nil
+	return err
 }
 
 // ServeHTTP makes Server an http.Handler.
@@ -552,7 +468,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	view, err := s.co.submit(req)
+	view, err := s.submit(req)
 	if err != nil {
 		// Every submit refusal is a 503: drain, full queue, or a store
 		// that cannot make the 202's durability promise.
@@ -563,12 +479,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.co.list()})
+	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.list()})
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	view, ok := s.co.view(id)
+	view, ok := s.view(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
 		return
@@ -578,7 +494,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	payload, code, ok := s.co.result(id)
+	payload, code, ok := s.result(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
 		return
@@ -587,13 +503,13 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCancel is DELETE /jobs/{id}: a queued job is marked canceled, a
-// running job's cancel intent is recorded durably and its worker
-// aborted (it stops at its next cancellation boundary), and a finished
+// running job's cancel intent is recorded durably and its context
+// cancelled (it stops at its next cancellation boundary), and a finished
 // job is removed — freeing its retained result — so long-lived clients
 // can bound the server's memory themselves.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	view, deleted, ok := s.co.cancel(id)
+	view, deleted, ok := s.cancel(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
 		return
@@ -605,28 +521,30 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, view)
 }
 
-// handleHealth is honest readiness: it reports queue depth, live
-// workers, the lease-expiry backlog, and degrades to 503 when the job
-// store cannot persist submissions — a load balancer must stop sending
-// work to a server that would lose it.
+// handleHealth is honest readiness: it reports job counts, queue depth,
+// the worker goroutines still running, and degrades to 503 when the
+// job store cannot persist submissions — a load balancer must stop
+// sending work to a server that would lose it.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	hv := s.co.health()
 	s.mu.Lock()
-	configured := len(s.workers)
+	counts := map[jobstore.State]int{}
+	for st, n := range s.counts {
+		if n != 0 {
+			counts[st] = n
+		}
+	}
+	queued, live := s.counts[jobstore.StateQueued], s.live
 	s.mu.Unlock()
 	health := map[string]any{
 		"status": "ok",
-		"jobs":   hv.Counts,
+		"jobs":   counts,
 		"workers": map[string]any{
-			"configured": configured,
-			"live":       hv.WorkersLive,
+			"configured": s.cfg.Workers,
+			"live":       live,
 		},
 		"queue": map[string]any{
-			"depth":    hv.QueueDepth,
+			"depth":    queued,
 			"capacity": s.cfg.QueueDepth,
-		},
-		"leases": map[string]any{
-			"expired_backlog": hv.LeaseBacklog,
 		},
 	}
 	if cache, err := s.eng.Cache(); err == nil && cache != nil {
