@@ -1,8 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
-// recorded paper-vs-measured outcomes). Each benchmark times the pipeline
-// that produces the corresponding artifact; `go run ./cmd/experiments`
-// prints the artifacts themselves.
+// (see README.md's "Paper benchmarks" section). Each benchmark times the
+// pipeline that produces the corresponding artifact; `go run
+// ./cmd/experiments` prints the artifacts themselves.
 package protogen_test
 
 import (
@@ -283,16 +282,26 @@ func BenchmarkExpC_UnorderedMSI(b *testing.B) {
 }
 
 // BenchmarkExpD_TSOCCLitmus: §VI-D — generate TSO-CC and run the litmus
-// suite standing in for the Banks et al. TSO check.
+// oracle standing in for the Banks et al. TSO check, with the same
+// verdict cmd/experiments and examples/tsocc assert: no oracle failure,
+// relaxations present on MP and SB only.
 func BenchmarkExpD_TSOCCLitmus(b *testing.B) {
 	p := mustGen(b, protogen.BuiltinTSOCC, protogen.NonStalling())
+	tests, err := protogen.LitmusTestsByName([]string{"MP", "MP+acq", "SB", "CoRR"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ax := protogen.DefaultLitmusAxiom(p)
 	for i := 0; i < b.N; i++ {
-		r, err := protogen.RunLitmus(p, protogen.LitmusMP(true), 50, int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Forbidden != 0 {
-			b.Fatal("TSO broken")
+		rep := protogen.RunLitmusOracle(p, tests, ax, protogen.LitmusOptions{Exhaustive: true, Runs: 400, Seed: 11})
+		for _, r := range rep.Results {
+			if r.Failed() || !r.Complete {
+				b.Fatalf("%s: oracle failure (complete=%v forbidden=%v stuck=%v err=%q)",
+					r.Test, r.Complete, r.Forbidden, r.Stuck, r.Err)
+			}
+			if wantRelax := r.Test == "MP" || r.Test == "SB"; wantRelax != (len(r.Relaxed) > 0) {
+				b.Fatalf("%s: relaxed=%v, want relaxation present=%v", r.Test, r.Relaxed, wantRelax)
+			}
 		}
 	}
 }

@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// TestRunCheapExperiments: the pure-generation experiments render their
-// artifacts through the real CLI path.
+// TestRunCheapExperiments: the pure-generation experiments and the
+// sub-second §VI-D check render their artifacts through the real CLI
+// path (e-d returns an error on any litmus-oracle failure).
 func TestRunCheapExperiments(t *testing.T) {
 	cases := []struct {
 		id   string
@@ -15,6 +16,7 @@ func TestRunCheapExperiments(t *testing.T) {
 		{"table1", "Table I"},
 		{"table5", "Table V"},
 		{"table6", "Table VI"},
+		{"e-d", "held to the weak axiom"},
 		{"e-e", "generation"},
 	}
 	for _, c := range cases {

@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -19,25 +20,11 @@ import (
 func TestPackageDocComments(t *testing.T) {
 	const minDocLen = 60 // a sentence, not a placeholder
 	pkgDirs := map[string][]string{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata" || name == "corpus") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+	for _, path := range goFiles(t) {
+		if !strings.HasSuffix(path, "_test.go") {
 			dir := filepath.Dir(path)
 			pkgDirs[dir] = append(pkgDirs[dir], path)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(pkgDirs) < 15 {
 		t.Fatalf("walk found only %d packages — test is miswired", len(pkgDirs))
@@ -71,6 +58,73 @@ func TestPackageDocComments(t *testing.T) {
 			t.Errorf("%s: package comment must start with \"Package %s\": %q", dir, pkgName, firstLine(best))
 		}
 	}
+}
+
+// mdRef matches a Markdown file name inside a comment.
+var mdRef = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+
+// TestDocReferences keeps comments from pointing at documents that do
+// not exist: every *.md name in a Go comment (test files included) must
+// resolve relative to the file's own directory, the repo root or docs/.
+func TestDocReferences(t *testing.T) {
+	fset := token.NewFileSet()
+	refs := 0
+	for _, path := range goFiles(t) {
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				for _, name := range mdRef.FindAllString(c.Text, -1) {
+					refs++
+					if !docExists(filepath.Dir(path), name) {
+						t.Errorf("%s: comment references %s, which resolves under neither %s, the repo root nor docs/",
+							fset.Position(c.Pos()), name, filepath.Dir(path))
+					}
+				}
+			}
+		}
+	}
+	if refs < 10 {
+		t.Fatalf("found only %d doc references — test is miswired", refs)
+	}
+}
+
+func docExists(dir, name string) bool {
+	for _, base := range []string{dir, ".", "docs"} {
+		if _, err := os.Stat(filepath.Join(base, name)); err == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// goFiles lists the module's Go files (tests included), skipping hidden
+// directories, testdata and the fuzz corpus.
+func goFiles(t *testing.T) []string {
+	t.Helper()
+	var out []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata" || name == "corpus") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") {
+			out = append(out, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func firstLine(s string) string {

@@ -305,6 +305,7 @@ type LitmusJob struct {
 	Exhaustive bool
 	// Runs adds a randomized sample of that many schedules per test;
 	// combined with Exhaustive the job also checks sampled ⊆ exhaustive.
+	// A negative value is an error.
 	Runs int
 	// Seed seeds the randomized sample.
 	Seed int64
@@ -462,6 +463,11 @@ func (e *Engine) Simulate(ctx context.Context, job SimulateJob) (SimStats, error
 // Report.Canceled set and a nil error (interrupted tests carry the
 // context error in their per-test Err).
 func (e *Engine) Litmus(ctx context.Context, job LitmusJob) (*LitmusReport, error) {
+	if job.Runs < 0 {
+		// A negative sample size would otherwise skip the explorer too
+		// and report an untested suite as passing.
+		return nil, fmt.Errorf("litmus job: negative runs %d", job.Runs)
+	}
 	spec, proto, opts, err := resolveSubject(job.Protocol, job.Spec, job.Source, job.Mode, job.Options, job.PendingLimit)
 	if err != nil {
 		return nil, err

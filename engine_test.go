@@ -193,6 +193,9 @@ func TestEngineJobValidation(t *testing.T) {
 	if _, err := eng.Simulate(ctx, protogen.SimulateJob{Source: protogen.BuiltinMSI}); err == nil {
 		t.Error("workload-less simulate job must error")
 	}
+	if _, err := eng.Litmus(ctx, protogen.LitmusJob{Source: protogen.BuiltinTSOCC, Runs: -1}); err == nil {
+		t.Error("negative-runs litmus job must error, not pass untested")
+	}
 }
 
 // TestChannelProgress: events flow over a channel without ever blocking

@@ -295,7 +295,6 @@ func TestStateCountsBand(t *testing.T) {
 	// primer's OM^AC/OM^A pair, and the model checker proves the
 	// late-forward states (O_Fwd_GetS overtaken by the upgrade response)
 	// are required — dropping them leaves reachable unhandled messages.
-	// See EXPERIMENTS.md §VI-B for the discussion.
 	wantDefault := map[string]int{"MSI": 19, "MESI": 23, "MOSI": 37}
 	wantL1 := map[string]int{"MSI": 17, "MESI": 20, "MOSI": 23}
 	for _, name := range []string{"MSI", "MESI", "MOSI"} {

@@ -1,15 +1,14 @@
 // Package litmus is the weak-memory litmus oracle: it runs generated
 // protocols against small multi-threaded, multi-address programs and
 // checks the observed outcome sets against explicit consistency axioms
-// (SC, TSO, weak). Unlike the randomized harness in internal/sim —
-// which samples schedules and can only ever say "not observed yet" —
-// the exhaustive explorer here enumerates every schedule of a litmus
-// program over composed engine.System instances, deduplicating
+// (SC, TSO, weak). It is the repository's one litmus harness. A
+// randomized sampler (Sample) can only ever say "not observed yet", so
+// the exhaustive explorer (Explore) enumerates every schedule of a
+// litmus program over composed engine.System instances, deduplicating
 // interleaving states through the same fingerprint visited-store
-// machinery the model checker uses (internal/store), so the outcome
-// set it reports is exact: a forbidden outcome that is absent is
-// *proven* absent (modulo 64-bit fingerprint collisions), not merely
-// unsampled.
+// machinery the model checker uses (internal/store). The outcome set
+// it reports is exact: a forbidden outcome that is absent is *proven*
+// absent (modulo 64-bit fingerprint collisions), not merely unsampled.
 //
 // Each catalog test carries per-axiom forbidden-outcome predicates;
 // the axiom layer expands them into full outcome tables (allowed /

@@ -37,8 +37,15 @@ func modes() map[string]core.Options {
 // every catalog shape, explored exhaustively on every registry protocol
 // × every generation mode, completes within budget with no forbidden
 // outcome and no stuck configuration under the protocol's default
-// axiom.
+// axiom. On the weak-axiom (consistency-directed) protocols it also
+// pins the relaxations themselves: MP's stale read and SB's store
+// buffering must be reachable, exactly. (Under SC those outcomes
+// classify as Forbidden, so the Failed check covers the SWMR protocols.)
 func TestCatalogExhaustiveRegistry(t *testing.T) {
+	wantRelaxed := map[string][]string{
+		"MP": {"t1.rd=0 t1.rf=1"},
+		"SB": {"t0.ry=0 t1.rx=0"},
+	}
 	for _, e := range protocols.All {
 		for mode, opts := range modes() {
 			e, mode, opts := e, mode, opts
@@ -59,6 +66,9 @@ func TestCatalogExhaustiveRegistry(t *testing.T) {
 					if r.States == 0 || len(r.Outcomes) == 0 {
 						t.Errorf("%s: empty exploration (states=%d outcomes=%d)",
 							r.Test, r.States, len(r.Outcomes))
+					}
+					if want, ok := wantRelaxed[r.Test]; ok && ax == Weak && !reflect.DeepEqual(r.Relaxed, want) {
+						t.Errorf("%s (axiom %s): relaxed = %v, want %v", r.Test, ax, r.Relaxed, want)
 					}
 				}
 			})
@@ -178,7 +188,8 @@ func TestGoldenIRIW(t *testing.T) {
 	}
 }
 
-// TestSampleDeterminism: the sampler is a pure function of its seed.
+// TestSampleDeterminism: the sampler is a pure function of its seed,
+// and its per-run seeds are decorrelated.
 func TestSampleDeterminism(t *testing.T) {
 	p := gen(t, protocols.TSOCC, core.NonStallingOpts())
 	a, err := Sample(context.Background(), p, MP(false), 3, 200, 42)
@@ -200,6 +211,20 @@ func TestSampleDeterminism(t *testing.T) {
 	// protocol the outcome histogram almost surely differs.
 	if reflect.DeepEqual(a.Outcomes, c.Outcomes) {
 		t.Logf("note: seeds 42 and 43 produced identical histograms %v (possible, but suspicious)", a.Outcomes)
+	}
+	// The per-run seed hop: no two runs of a campaign share a stream, and
+	// none falls back to the additive seed+i, whose rand sources share
+	// most of their schedule prefix with their neighbours.
+	seen := map[int64]bool{}
+	for i := 0; i < 1000; i++ {
+		s := seedHop(3, i)
+		if seen[s] {
+			t.Fatalf("seedHop collision at i=%d", i)
+		}
+		seen[s] = true
+		if s == 3+int64(i) {
+			t.Errorf("seedHop(3, %d) is the additive seed", i)
+		}
 	}
 }
 

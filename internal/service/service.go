@@ -190,6 +190,9 @@ func (r *Request) validate() error {
 		if r.Protocol == "" && r.Source == "" {
 			return fmt.Errorf("litmus job needs protocol or source")
 		}
+		if r.Runs < 0 {
+			return fmt.Errorf("litmus job needs runs >= 0")
+		}
 	default:
 		return fmt.Errorf("unknown job kind %q (want verify, fuzz, simulate, lint or litmus)", r.Kind)
 	}

@@ -309,6 +309,7 @@ func TestSubmitValidation(t *testing.T) {
 		`{"kind":"lint"}`,
 		`{"kind":"fuzz","first":5,"last":5}`,
 		`{"kind":"simulate","protocol":"MSI"}`,
+		`{"kind":"litmus","protocol":"TSO_CC","runs":-1}`,
 		`{"kind":"verify","protocol":"MSI","source":"protocol X {}"}`,
 		`{"kind":"verify","protocol":"MSI","bogus_field":1}`,
 		`not json`,

@@ -1,8 +1,8 @@
 // Package sim executes generated protocols under randomized schedules:
 // workload-driven performance comparison (stall counts, message counts,
-// transaction latency — quantifying the paper's "reduce stalling" claim),
-// a per-location sequential-consistency history checker, and multi-address
-// litmus tests standing in for the Banks et al. TSO verification of §VI-D.
+// transaction latency — quantifying the paper's "reduce stalling" claim)
+// and a per-location sequential-consistency history checker. Litmus
+// testing (§VI-D) lives in internal/litmus.
 package sim
 
 import (

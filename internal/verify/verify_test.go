@@ -188,7 +188,7 @@ func TestUnorderedMSI(t *testing.T) {
 
 // TestTSOCCDeadlockFree: TSO-CC breaks SWMR by design (stale Shared
 // copies), so only deadlock freedom is checked here; TSO itself is
-// checked by the litmus tests in internal/sim.
+// checked by the litmus oracle in internal/litmus.
 func TestTSOCCDeadlockFree(t *testing.T) {
 	p := gen(t, protocols.TSOCC, core.NonStallingOpts())
 	cfg := QuickConfig()
