@@ -211,7 +211,7 @@ func BenchmarkVerifyParallelism(b *testing.B) {
 // canonicalization unlocks — 4 caches means 24 permutations, so the old
 // brute-force canonicalization paid 24 encodes per state where the
 // signature sort pays one (plus tie-group suffix encodes and the
-// occasional impure-state fallback, both reported as metrics). Runs in
+// occasional impure-state prefix search, both reported as metrics). Runs in
 // fingerprint mode, the configuration big explorations use.
 func BenchmarkVerify4CacheMSI(b *testing.B) {
 	const stateCap = 100_000

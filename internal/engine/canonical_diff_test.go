@@ -1,13 +1,14 @@
 package engine_test
 
-// Differential pinning of the signature-sort canonicalization: for every
+// Differential pinning of the symmetry canonicalization: for every
 // registry protocol, every generation mode, and a sweep of fuzz-generated
 // specs, random walks must produce canonical keys byte-identical to the
 // brute-force all-permutations oracle (Encoder.CanonicalBrute). This is
-// the test that licenses the factorial-free fast path: any divergence —
-// a wrong purity judgment, a bad tie-group enumeration, a sort that
-// disagrees with lexicographic encoding order — shows up as a key diff
-// long before it would corrupt golden exploration numbers.
+// the test that licenses the factorial-free paths: any divergence — a
+// wrong purity judgment, a bad tie-group enumeration, a sort that
+// disagrees with lexicographic encoding order, an unsound prefix prune
+// in the impure-state search — shows up as a key diff long before it
+// would corrupt golden exploration numbers.
 
 import (
 	"bytes"
@@ -52,8 +53,25 @@ func walkDiff(t *testing.T, label string, p *ir.Protocol, caches int, seed int64
 	return fast.Stats()
 }
 
+// diffCacheCounts are the cache counts the differential walks sweep:
+// up to 5, where impure states are common and the permutation search
+// does real pruning.
+var diffCacheCounts = []int{2, 3, 4, 5}
+
+// requireSearch fails unless every cache count from 4 up sent some
+// impure state through the permutation search, so the differential
+// check really pins it there.
+func requireSearch(t *testing.T, byCaches map[int]engine.CanonStats) {
+	t.Helper()
+	for caches, st := range byCaches {
+		if caches >= 4 && (st.Fallbacks == 0 || st.SearchNodes == 0) {
+			t.Errorf("caches=%d: no impure state reached the permutation search: %+v", caches, st)
+		}
+	}
+}
+
 // TestCanonicalDiffRegistry sweeps every registry protocol in all three
-// generation modes at 2 and 3 caches.
+// generation modes at 2 to 5 caches.
 func TestCanonicalDiffRegistry(t *testing.T) {
 	modes := []struct {
 		name string
@@ -64,6 +82,7 @@ func TestCanonicalDiffRegistry(t *testing.T) {
 		{"deferred", core.DeferredOpts()},
 	}
 	var total engine.CanonStats
+	byCaches := map[int]engine.CanonStats{}
 	for _, e := range protocols.Entries() {
 		spec, err := dsl.Parse(e.Source)
 		if err != nil {
@@ -74,20 +93,25 @@ func TestCanonicalDiffRegistry(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", e.Name, mode.name, err)
 			}
-			for _, caches := range []int{2, 3} {
+			for _, caches := range diffCacheCounts {
 				for seed := int64(0); seed < 6; seed++ {
 					st := walkDiff(t, e.Name+"/"+mode.name, p, caches, seed, 60)
 					total.Add(st)
+					sum := byCaches[caches]
+					sum.Add(st)
+					byCaches[caches] = sum
 				}
 			}
 		}
 	}
 	// The sweep must exercise every strategy, or the differential check
-	// proves less than it claims (deferred mode drives the impure-state
-	// fallback, near-initial states drive ties).
+	// proves less than it claims (deferred mode and larger cache counts
+	// drive impure states into the search, near-initial states drive
+	// ties).
 	if total.Fast == 0 || total.TieStates == 0 || total.Fallbacks == 0 {
 		t.Errorf("sweep did not cover all canonicalization strategies: %+v", total)
 	}
+	requireSearch(t, byCaches)
 }
 
 // TestCanonicalDiffFuzzSpecs runs the differential walk over the fuzzer's
@@ -95,6 +119,7 @@ func TestCanonicalDiffRegistry(t *testing.T) {
 // canonicalization is pinned on machine shapes nobody hand-picked.
 func TestCanonicalDiffFuzzSpecs(t *testing.T) {
 	pool := append(fuzz.Shapes(), fuzz.BoundaryShapes()...)
+	byCaches := map[int]engine.CanonStats{}
 	for seed := uint64(0); seed < 24; seed++ {
 		params, limit, simSeed := fuzz.SpecForSeed(seed, pool)
 		spec, err := dsl.Parse(params.Source())
@@ -109,7 +134,70 @@ func TestCanonicalDiffFuzzSpecs(t *testing.T) {
 				continue // generator boundary shapes may reject a mode; covered elsewhere
 			}
 			label := fmt.Sprintf("fuzz seed %d (%s)", seed, params.Name())
-			walkDiff(t, label, p, 3, simSeed, 40)
+			for _, caches := range diffCacheCounts {
+				sum := byCaches[caches]
+				sum.Add(walkDiff(t, label, p, caches, simSeed, 40))
+				byCaches[caches] = sum
+			}
+		}
+	}
+	requireSearch(t, byCaches)
+}
+
+// TestCanonicalDiffCacheIDs covers the impure sections the walks above
+// never reach: no registry or fuzz-generated cache machine keeps a node
+// id in a variable, so their impure states come from deferred messages
+// alone. Here random-walk states get ids planted in every cache section:
+// one int slot relabeled as a VID holding NoID, a cache or the
+// directory, and a sharer-style mask of random cache bits, sometimes
+// with a bit past the caches that pushes its value beyond putInt's
+// one-byte form. The encoder reads only the layout's VID flags and the
+// slot values, so the planted states pin the search's VID and mask
+// handling against brute force.
+func TestCanonicalDiffCacheIDs(t *testing.T) {
+	spec, err := dsl.Parse(protocols.MSI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.Generate(spec, core.NonStallingOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, caches := range diffCacheCounts {
+		perms := engine.Permutations(caches)
+		fast := engine.NewEncoder(p)
+		brute := engine.NewEncoder(p)
+		sys := engine.NewSystem(p, engine.Config{Caches: caches, Capacity: 6, Values: 2})
+		rng := rand.New(rand.NewSource(int64(caches)))
+		for step := 0; step < 200; step++ {
+			planted := sys.Clone()
+			layout := *planted.Caches[0].L
+			layout.IntIsVID = append([]bool{true}, layout.IntIsVID[1:]...)
+			for _, c := range planted.Caches {
+				c.L = &layout
+				c.Ints[0] = rng.Intn(caches+2) - 1
+				mask := rng.Uint32() & (1<<caches - 1)
+				if rng.Intn(4) == 0 {
+					mask |= 1 << 8
+				}
+				c.Masks = []uint32{mask}
+			}
+			fk := fast.Canonical(planted, perms)
+			bk := brute.CanonicalBrute(planted, perms)
+			if !bytes.Equal(fk, bk) {
+				t.Fatalf("caches=%d step %d: planted-id key diverges from brute force\nfast:  %x\nbrute: %x",
+					caches, step, fk, bk)
+			}
+			rules := sys.Rules()
+			if len(rules) == 0 {
+				break
+			}
+			if _, err := sys.Apply(rules[rng.Intn(len(rules))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := fast.Stats(); st.Fallbacks == 0 {
+			t.Errorf("caches=%d: no planted state reached the permutation search: %+v", caches, st)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"protogen/internal/ir"
@@ -53,12 +54,16 @@ type Encoder struct {
 	perm    []int    // candidate permutation scratch (perm[old] = new)
 	rest    []byte   // dir+net suffix under the candidate permutation
 	restMin []byte   // minimal suffix over tie-group candidates
-	stats   CanonStats
+	// Impure-state search arenas: the surviving candidates of the
+	// current level and the children of the next, swapped per level.
+	cands [2]candSet
+	stats CanonStats
 }
 
 // CanonStats counts which canonicalization strategy each Canonical call
 // took. Fast + TieStates + Fallbacks equals the number of symmetry-reduced
-// Canonical calls; TieEncodes is the extra work ties cost.
+// Canonical calls; TieEncodes and SearchNodes are the extra work ties and
+// impure states cost.
 type CanonStats struct {
 	// Fast counts states canonicalized with a single full encoding:
 	// every cache section pure and all section signatures distinct.
@@ -71,11 +76,16 @@ type CanonStats struct {
 	// (each costs one directory+network suffix encoding, not a full
 	// state encoding).
 	TieEncodes uint64
-	// Fallbacks counts states where some cache section embeds a
+	// Fallbacks counts impure states: some cache section embeds a
 	// remappable cache id (a VID variable, sharer-mask bit or deferred
-	// message naming another cache), forcing the full n!-permutation
-	// search for exactness.
+	// message naming another cache), so sorting sections cannot order
+	// them and the prefix-pruned permutation search (canonicalSearch)
+	// finds the minimum instead.
 	Fallbacks uint64
+	// SearchNodes counts the partial permutations the search kept,
+	// summed over its levels and states: the search's width. Brute
+	// force would cost n! full encodings per state instead.
+	SearchNodes uint64
 }
 
 // Add accumulates o into s (for summing per-worker encoder stats).
@@ -84,6 +94,7 @@ func (s *CanonStats) Add(o CanonStats) {
 	s.TieStates += o.TieStates
 	s.TieEncodes += o.TieEncodes
 	s.Fallbacks += o.Fallbacks
+	s.SearchNodes += o.SearchNodes
 }
 
 // Stats returns the canonicalization counters accumulated so far.
@@ -126,7 +137,8 @@ func (e *Encoder) Key(s *System) []byte {
 // of byte-identical sections, where the directory+network suffix decides:
 // those orderings (the product of tie-group factorials, usually 1) are
 // enumerated. Any impure section voids the argument, so such states take
-// the full brute-force search (CanonStats.Fallbacks counts them).
+// the prefix-pruned permutation search (canonicalSearch;
+// CanonStats.Fallbacks counts them), which is exact as well.
 //
 // The sorting argument minimizes over the FULL symmetric group, so the
 // fast path engages only when perms has all n! permutations (what
@@ -144,7 +156,7 @@ func (e *Encoder) Canonical(s *System, perms [][]int) []byte {
 	for _, c := range s.Caches {
 		if !sectionPure(c, n) {
 			e.stats.Fallbacks++
-			return e.CanonicalBrute(s, perms)
+			return e.canonicalSearch(s)
 		}
 	}
 	// Encode each cache's section once: pure sections encode identically
@@ -154,7 +166,7 @@ func (e *Encoder) Canonical(s *System, perms [][]int) []byte {
 	}
 	e.secs = e.secs[:n]
 	for i, c := range s.Caches {
-		e.secs[i] = e.encodeCtrl(e.secs[i][:0], c, nil)
+		e.secs[i], _ = e.encodeCtrl(e.secs[i][:0], c, nil)
 	}
 	e.order = e.order[:0]
 	for i := 0; i < n; i++ {
@@ -240,6 +252,167 @@ func (e *Encoder) tieGroups(s *System, from int) {
 	rec(from)
 }
 
+// candSet is one level of canonicalSearch: partial permutations and
+// their determined prefixes, stored flat so a warm Encoder searches
+// without allocating.
+type candSet struct {
+	n    int    // caches: each candidate owns n entries of perm
+	perm []int  // candidate i is perm[i*n:(i+1)*n], perm[old] = new, -1 unplaced
+	pre  []byte // determined prefixes, concatenated
+	end  []int  // candidate i's prefix ends at pre[end[i]]
+	stop []int  // first position whose section is not fully determined
+	mark []int  // offset in the prefix where section stop begins
+}
+
+func (c *candSet) reset(n int) {
+	c.n = n
+	c.perm, c.pre = c.perm[:0], c.pre[:0]
+	c.end, c.stop, c.mark = c.end[:0], c.stop[:0], c.mark[:0]
+}
+
+func (c *candSet) count() int { return len(c.end) }
+
+func (c *candSet) permOf(i int) []int { return c.perm[i*c.n : (i+1)*c.n] }
+
+func (c *candSet) prefix(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = c.end[i-1]
+	}
+	return c.pre[start:c.end[i]]
+}
+
+// pop drops the last candidate.
+func (c *candSet) pop() {
+	last := c.count() - 1
+	c.pre = c.pre[:len(c.pre)-len(c.prefix(last))]
+	c.perm = c.perm[:last*c.n]
+	c.end, c.stop, c.mark = c.end[:last], c.stop[:last], c.mark[:last]
+}
+
+// push appends candidate i of src unchanged.
+func (c *candSet) push(src *candSet, i int) {
+	c.perm = append(c.perm, src.permOf(i)...)
+	c.pre = append(c.pre, src.prefix(i)...)
+	c.end = append(c.end, len(c.pre))
+	c.stop = append(c.stop, src.stop[i])
+	c.mark = append(c.mark, src.mark[i])
+}
+
+// canonicalSearch is Canonical for impure states: the minimal encoding
+// over all n! permutations, found by placing caches at positions 0, 1,
+// ... in turn and pruning partial permutations by their prefixes.
+//
+// A candidate's determined prefix is the encoding of the sections at
+// its placed positions, cut at the first field naming a cache it has
+// not placed yet (a VID slot, a mask bit or a deferred message). Every
+// completion of the candidate starts with that prefix. So when
+// candidate A's prefix is strictly smaller than B's at a byte both
+// determine, every completion of A beats every completion of B, and B
+// cannot lead to the minimum: dropping it is exact. Bytes are compared,
+// never decoded numbers (putInt escapes large mask values). What
+// survives a level is a chain of prefixes, each a prefix of the level's
+// best one, so one pass finds that best and a second keeps the
+// children agreeing with it. With every cache placed, the survivors'
+// sections are complete, and the smallest full encoding among them is
+// CanonicalBrute's answer byte for byte.
+func (e *Encoder) canonicalSearch(s *System) []byte {
+	n := len(s.Caches)
+	cur, next := &e.cands[0], &e.cands[1]
+	cur.reset(n)
+	for i := 0; i < n; i++ {
+		cur.perm = append(cur.perm, -1)
+	}
+	cur.end = append(cur.end, 0)
+	cur.stop = append(cur.stop, 0)
+	cur.mark = append(cur.mark, 0)
+	for pos := 0; pos < n; pos++ {
+		next.reset(n)
+		best := -1 // the child whose prefix every survivor must agree with
+		for i := 0; i < cur.count(); i++ {
+			for old := 0; old < n; old++ {
+				if cur.permOf(i)[old] >= 0 {
+					continue
+				}
+				e.pushChild(next, cur, i, old, pos, s)
+				j := next.count() - 1
+				if best < 0 {
+					best = j
+					continue
+				}
+				a, b := next.prefix(best), next.prefix(j)
+				switch c := cmpDetermined(a, b); {
+				case c < 0:
+					next.pop()
+				case c > 0 || len(b) > len(a):
+					best = j
+				}
+			}
+		}
+		// Children kept before best last moved may disagree with it.
+		cur.reset(n)
+		bp := next.prefix(best)
+		for j := 0; j < next.count(); j++ {
+			if cmpDetermined(bp, next.prefix(j)) == 0 {
+				cur.push(next, j)
+			}
+		}
+		e.stats.SearchNodes += uint64(cur.count())
+	}
+	e.best = e.best[:0]
+	for i := 0; i < cur.count(); i++ {
+		perm := cur.permOf(i)
+		e.setInv(perm)
+		e.buf = append(e.buf[:0], cur.prefix(i)...)
+		e.buf = e.encodeRest(e.buf, s, perm)
+		if len(e.best) == 0 || bytes.Compare(e.buf, e.best) < 0 {
+			e.buf, e.best = e.best, e.buf
+		}
+	}
+	return e.best
+}
+
+// pushChild appends to dst the child of src's candidate i that places
+// cache old at position pos, extending the parent's prefix as far as
+// the child's placements determine it.
+func (e *Encoder) pushChild(dst, src *candSet, i, old, pos int, s *System) {
+	dst.perm = append(dst.perm, src.permOf(i)...)
+	perm := dst.perm[len(dst.perm)-dst.n:]
+	perm[old] = pos
+	start := len(dst.pre)
+	stop, mark := src.stop[i], src.mark[i]
+	dst.pre = append(dst.pre, src.prefix(i)[:mark]...)
+	for ; stop <= pos; stop++ {
+		var ok bool
+		dst.pre, ok = e.encodeCtrl(dst.pre, s.Caches[holder(perm, stop)], perm)
+		if !ok {
+			break
+		}
+		mark = len(dst.pre) - start
+	}
+	dst.end = append(dst.end, len(dst.pre))
+	dst.stop = append(dst.stop, stop)
+	dst.mark = append(dst.mark, mark)
+}
+
+// cmpDetermined compares two determined prefixes over the bytes both
+// hold: negative when a is strictly smaller there, positive when b is,
+// zero when one is a prefix of the other.
+func cmpDetermined(a, b []byte) int {
+	l := min(len(a), len(b))
+	return bytes.Compare(a[:l], b[:l])
+}
+
+// holder returns the cache a permutation places at position pos.
+func holder(perm []int, pos int) int {
+	for old, p := range perm {
+		if p == pos {
+			return old
+		}
+	}
+	panic("engine: position not placed")
+}
+
 // factorial(n) for the cache counts a model checker can face; saturates
 // far above any realistic permutation-list length.
 func factorial(n int) int {
@@ -276,9 +449,10 @@ func sectionPure(c *Ctrl, n int) bool {
 
 // CanonicalBrute is the reference canonicalization: encode the state under
 // every permutation and keep the lexicographic minimum. O(n!) per state —
-// Canonical's impure-state fallback and the differential-test oracle that
-// pins Canonical's output bit-for-bit. The returned slice aliases encoder
-// scratch and is valid until the next Key/Canonical call.
+// the differential-test oracle that pins Canonical's output bit-for-bit,
+// and Canonical's path for permutation lists short of the full group.
+// The returned slice aliases encoder scratch and is valid until the next
+// Key/Canonical call.
 func (e *Encoder) CanonicalBrute(s *System, perms [][]int) []byte {
 	if len(perms) <= 1 {
 		return e.Key(s)
@@ -301,13 +475,13 @@ func (e *Encoder) encodeSys(s *System, perm []int) {
 	b := e.buf[:0]
 	if perm == nil {
 		for _, c := range s.Caches {
-			b = e.encodeCtrl(b, c, nil)
+			b, _ = e.encodeCtrl(b, c, nil)
 		}
 	} else {
 		e.setInv(perm)
 		// Position j holds the cache whose renumbered id is j.
 		for j := 0; j < len(perm); j++ {
-			b = e.encodeCtrl(b, s.Caches[e.inv[j]], perm)
+			b, _ = e.encodeCtrl(b, s.Caches[e.inv[j]], perm)
 		}
 	}
 	e.buf = e.encodeRest(b, s, perm)
@@ -317,7 +491,7 @@ func (e *Encoder) encodeSys(s *System, perm []int) {
 // the last-write value and the interconnect. e.inv must already invert
 // perm (setInv) when perm is non-nil.
 func (e *Encoder) encodeRest(b []byte, s *System, perm []int) []byte {
-	b = e.encodeCtrl(b, s.Dir, perm)
+	b, _ = e.encodeCtrl(b, s.Dir, perm)
 	b = putInt(b, s.LastWrite)
 	return e.encodeNet(b, s.Net, perm)
 }
@@ -335,17 +509,29 @@ func (e *Encoder) setInv(perm []int) {
 
 // encodeCtrl appends one controller: state index, int slots (VID slots
 // remapped), set masks, pending access, then the length-prefixed defer
-// queue.
-func (e *Encoder) encodeCtrl(b []byte, c *Ctrl, perm []int) []byte {
+// queue. perm may be partial (-1 marks an unplaced cache, see
+// canonicalSearch): then encodeCtrl stops before the first field naming
+// an unplaced cache and reports false, and everything appended up to
+// there is what every completion of perm encodes. It reports true under
+// a nil or full permutation.
+func (e *Encoder) encodeCtrl(b []byte, c *Ctrl, perm []int) ([]byte, bool) {
 	b = putInt(b, c.StIdx)
 	for i, v := range c.Ints {
 		if perm != nil && c.L.IntIsVID[i] {
+			if unplaced(perm, v) {
+				return b, false
+			}
 			v = permID(perm, v)
 		}
 		b = putInt(b, v)
 	}
 	for _, m := range c.Masks {
 		if perm != nil {
+			for rest := m; rest != 0; rest &= rest - 1 {
+				if unplaced(perm, bits.TrailingZeros32(rest)) {
+					return b, false
+				}
+			}
 			m = permMask(m, perm)
 		}
 		b = putInt(b, int(m))
@@ -353,9 +539,18 @@ func (e *Encoder) encodeCtrl(b []byte, c *Ctrl, perm []int) []byte {
 	b = putInt(b, int(c.Pend))
 	b = putInt(b, len(c.DeferQ))
 	for _, d := range c.DeferQ {
+		if unplaced(perm, d.Src) || unplaced(perm, d.Dst) || unplaced(perm, d.Req) {
+			return b, false
+		}
 		b = e.appendMsg(b, d, perm)
 	}
-	return b
+	return b, true
+}
+
+// unplaced reports whether id is a cache a partial permutation has not
+// placed yet.
+func unplaced(perm []int, id int) bool {
+	return id >= 0 && id < len(perm) && perm[id] < 0
 }
 
 // encodeNet appends the interconnect. Ordered networks emit every

@@ -22,8 +22,8 @@ const cacheFile = "verify-cache.jsonl"
 // strategy counters (CanonFast/CanonTieStates/CanonTieEncodes/
 // CanonFallbacks) — v1 entries would serve zeros for counts the
 // exploration did measure. v3: Config grew Reduce (in the key) and
-// Result grew the reduction counters.
-const cacheKeyVersion = "v3"
+// Result grew the reduction counters. v4: Result grew CanonSearchNodes.
+const cacheKeyVersion = "v4"
 
 // CacheKey derives the result-cache key for one verification:
 // SHA-256 over the canonical spec text (dsl.Format output, so

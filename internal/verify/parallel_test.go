@@ -182,6 +182,62 @@ func TestFourCacheGolden(t *testing.T) {
 	}
 }
 
+// TestFiveCacheGolden pins a capped 5-cache MSI exploration (the
+// scale-msi5 benchmark's configuration), the cache count where impure states (a cache section naming another cache) are
+// common enough that the prefix-pruned permutation search carries the
+// run: brute force would cost 120 full encodings per such state. Exact
+// and fingerprint stores at parallelism 1 and 2 must agree on the
+// numbers, and the partial-order-reduced run of the same configuration
+// must pass under the same cap. -short keeps parallelism 2 only.
+func TestFiveCacheGolden(t *testing.T) {
+	const (
+		wantStates = 20000
+		wantEdges  = 69839
+		wantDepth  = 13
+	)
+	pars := []int{1, 2}
+	if testing.Short() {
+		pars = pars[1:]
+	}
+	p := goldenProtocol(t, "MSI", "nonstalling")
+	for _, fingerprint := range []bool{false, true} {
+		for _, par := range pars {
+			cfg := QuickConfig()
+			cfg.Caches = 5
+			cfg.MaxStates = wantStates
+			cfg.Fingerprint = fingerprint
+			cfg.Parallelism = par
+			r := Check(p, cfg)
+			if !r.OK() || r.Complete {
+				t.Fatalf("fingerprint=%v P=%d: want capped PASS, got %v", fingerprint, par, r)
+			}
+			if r.States != wantStates || r.Edges != wantEdges || r.Depth != wantDepth {
+				t.Errorf("fingerprint=%v P=%d: states/edges/depth = %d/%d/%d, want %d/%d/%d",
+					fingerprint, par, r.States, r.Edges, r.Depth, wantStates, wantEdges, wantDepth)
+			}
+			if r.CanonFallbacks == 0 || r.CanonSearchNodes == 0 {
+				t.Errorf("fingerprint=%v P=%d: no impure state reached the permutation search (%d fallbacks, %d nodes)",
+					fingerprint, par, r.CanonFallbacks, r.CanonSearchNodes)
+			}
+		}
+	}
+	for _, par := range pars {
+		red := QuickConfig()
+		red.Caches = 5
+		red.MaxStates = wantStates
+		red.Reduce = true
+		red.Parallelism = par
+		r := Check(p, red)
+		if !r.OK() || r.Complete {
+			t.Fatalf("reduced P=%d: want capped PASS, got %v", par, r)
+		}
+		if r.States != wantStates || r.Edges != 62755 || r.Depth != 10 {
+			t.Errorf("reduced P=%d: states/edges/depth = %d/%d/%d, want %d/62755/10",
+				par, r.States, r.Edges, r.Depth, wantStates)
+		}
+	}
+}
+
 // TestLivenessConsistentAcrossModes: the no-prune stalling MSI ablation
 // deadlocks (see core.Options.PruneSharerOnStalePut); exact and
 // fingerprint modes must report the identical liveness verdict — same

@@ -180,12 +180,14 @@ type Result struct {
 	// over all workers: CanonFast states took a single encoding,
 	// CanonTieStates resolved signature ties by enumerating tie-group
 	// orderings (CanonTieEncodes candidate suffixes tried in total), and
-	// CanonFallbacks fell back to the full n!-permutation search. Zero
-	// when symmetry reduction is off.
-	CanonFast       int64 `json:"CanonFast,omitempty"`
-	CanonTieStates  int64 `json:"CanonTieStates,omitempty"`
-	CanonTieEncodes int64 `json:"CanonTieEncodes,omitempty"`
-	CanonFallbacks  int64 `json:"CanonFallbacks,omitempty"`
+	// CanonFallbacks were impure states, canonicalized by the
+	// prefix-pruned permutation search (CanonSearchNodes partial
+	// permutations kept in total). Zero when symmetry reduction is off.
+	CanonFast        int64 `json:"CanonFast,omitempty"`
+	CanonTieStates   int64 `json:"CanonTieStates,omitempty"`
+	CanonTieEncodes  int64 `json:"CanonTieEncodes,omitempty"`
+	CanonFallbacks   int64 `json:"CanonFallbacks,omitempty"`
+	CanonSearchNodes int64 `json:"CanonSearchNodes,omitempty"`
 	// Partial-order reduction counters (Config.Reduce). ReducedStates
 	// counts states expanded through a proper ample subset;
 	// CandidateSuccs / EmittedSuccs are the full-vs-emitted successor
@@ -553,6 +555,7 @@ func CheckCtx(ctx context.Context, p *ir.Protocol, cfg Config) *Result {
 	c.res.CanonTieStates = int64(canon.TieStates)
 	c.res.CanonTieEncodes = int64(canon.TieEncodes)
 	c.res.CanonFallbacks = int64(canon.Fallbacks)
+	c.res.CanonSearchNodes = int64(canon.SearchNodes)
 	if c.red != nil {
 		for _, w := range c.pool {
 			c.res.ReducedStates += w.redStates
